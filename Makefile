@@ -1,12 +1,20 @@
 GO ?= go
 
-.PHONY: build test race race-lockfree vet fmt bench bench-telemetry bench-json bench-gate chaos check conformance lint-layers tcp-smoke
+.PHONY: build test allocs race race-lockfree vet fmt bench bench-telemetry bench-json bench-gate chaos check conformance lint-layers tcp-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Allocation budgets of the eager hot path: CRI acquire/release and a
+# progress pass allocate nothing, a steady-state eager window at most two
+# objects per message, and the TCP frame reader one buffer per connection.
+# The tests skip themselves under -race (its instrumentation allocates), so
+# this target runs them without it.
+allocs:
+	$(GO) test -count=1 -run Allocat ./internal/cri ./internal/progress ./internal/core ./internal/transport/tcpnet
 
 # Race-detector pass over the concurrency-heavy packages (the full suite
 # under -race works too, but takes much longer).

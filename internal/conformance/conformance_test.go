@@ -3,6 +3,7 @@ package conformance
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -135,6 +136,7 @@ func TestConformance(t *testing.T) {
 		run  func(t *testing.T, h *harness)
 	}{
 		{"Eager", conformEager},
+		{"SendHandlesDropped", conformSendHandlesDropped},
 		{"Rendezvous", conformRendezvous},
 		{"AnyTagOvertaking", conformAnyTagOvertaking},
 		{"PersistentRequests", conformPersistent},
@@ -182,6 +184,69 @@ func conformEager(t *testing.T, h *harness) {
 			}
 		}
 		return nil
+	})
+}
+
+// conformSendHandlesDropped: an eager packet is co-allocated with its send
+// request, so once the sender drops a completed request only the packet's
+// holders — the wire, the receiver's queues — keep it alive. Messages sent
+// to the peer (the remote path) and to the sender itself (the self path)
+// must still arrive intact when their send handles were dropped and the
+// collector ran before any receive was posted. A second batch is sent
+// after the collection, still before any receive, so a runtime that
+// recycled a completed request while its packet was queued would
+// overwrite a first-batch message.
+func conformSendHandlesDropped(t *testing.T, h *harness) {
+	const n = 32
+	payload := func(dst, tag int) []byte { return []byte(fmt.Sprintf("to%d-tag-%03d", dst, tag)) }
+	send := func(th *core.Thread, c *core.Comm, tags int) error {
+		reqs := make([]*core.Request, 0, 2*n)
+		for _, dst := range []int{1, 0} {
+			for tag := tags; tag < tags+n; tag++ {
+				r, err := c.Isend(th, dst, int32(tag), payload(dst, tag))
+				if err != nil {
+					return err
+				}
+				reqs = append(reqs, r)
+			}
+		}
+		return core.WaitAll(th, reqs...)
+	}
+	recvAll := func(th *core.Thread, c *core.Comm, src, dst int) error {
+		buf := make([]byte, 32)
+		for tag := 0; tag < 2*n; tag++ {
+			st, err := c.Recv(th, src, int32(tag), buf)
+			if err != nil {
+				return err
+			}
+			want := payload(dst, tag)
+			if st.Source != int32(src) || st.Tag != int32(tag) || st.Count != len(want) || st.MessageLen != len(want) || st.Truncated {
+				return fmt.Errorf("tag %d from %d: status %+v", tag, src, st)
+			}
+			if !bytes.Equal(buf[:st.Count], want) {
+				return fmt.Errorf("tag %d from %d: got %q, want %q", tag, src, buf[:st.Count], want)
+			}
+		}
+		return nil
+	}
+	sent := make(chan struct{})
+	run2(t, h, func(rank int, th *core.Thread) error {
+		c := h.comms[rank]
+		if rank == 1 {
+			<-sent
+			return recvAll(th, c, 0, 1)
+		}
+		err := send(th, c, 0)
+		runtime.GC()
+		runtime.GC()
+		if err == nil {
+			err = send(th, c, n)
+		}
+		close(sent)
+		if err != nil {
+			return err
+		}
+		return recvAll(th, c, 0, 0)
 	})
 }
 

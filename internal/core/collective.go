@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"repro/internal/match"
 )
 
 // Collective operations, built on the runtime's own point-to-point layer
@@ -359,8 +357,7 @@ func (c *Comm) recvInternalInto(th *Thread, src int, tag int32, buf []byte) (Sta
 // irecvInternal posts an internal-tag receive into buf.
 func (c *Comm) irecvInternal(th *Thread, src int, tag int32, buf []byte) (*Request, error) {
 	p := c.proc
-	req := &Request{proc: p, kind: reqRecv}
-	req.mrecv = &match.Recv{Source: int32(src), Tag: tag, Buf: buf, Token: req}
+	req := newRecvRequest(p, src, tag, buf)
 	if !c.selfMatch && !c.matchMu.TryLock() {
 		t0 := c.spcs.StartTimer()
 		c.matchMu.Lock()

@@ -182,8 +182,7 @@ func (c *Comm) Isend(th *Thread, dst int, tag int32, buf []byte) (*Request, erro
 		Src: int32(c.myRank), Dst: int32(dst), Tag: tag,
 		Comm: c.id, Seq: seq, Kind: transport.KindEager,
 	}
-	req := &Request{proc: p, kind: reqSend}
-	pkt := transport.NewPacket(env, buf, req)
+	req, pkt := newSendRequest(p, env, buf)
 	c.spcs.Inc(spc.MessagesSent)
 	if p.histLatency != nil {
 		pkt.Stamp = time.Now().UnixNano()
@@ -273,8 +272,7 @@ func (c *Comm) Irecv(th *Thread, src int, tag int32, buf []byte) (*Request, erro
 		defer p.bigMu.Unlock()
 	}
 
-	req := &Request{proc: p, kind: reqRecv}
-	req.mrecv = &match.Recv{Source: int32(src), Tag: tag, Buf: buf, Token: req}
+	req := newRecvRequest(p, src, tag, buf)
 
 	if !c.selfMatch && !c.matchMu.TryLockQuiet() {
 		t0 := c.spcs.StartTimer()
@@ -476,8 +474,7 @@ func (c *Comm) isendInternal(th *Thread, dst int, tag int32, buf []byte) (*Reque
 		Src: int32(c.myRank), Dst: int32(dst), Tag: tag,
 		Comm: c.id, Seq: seq, Kind: transport.KindEager,
 	}
-	req := &Request{proc: p, kind: reqSend}
-	pkt := transport.NewPacket(env, buf, req)
+	req, pkt := newSendRequest(p, env, buf)
 	if c.group[dst] == p.rank {
 		req.finish(nil)
 		p.deliver(clk, nil, pkt)

@@ -211,12 +211,17 @@ func (c *Comm) handleRendezvousACK(pkt *transport.Packet) {
 		Src: env.Dst, Dst: env.Src, Comm: c.id, Kind: transport.KindRendezvousData,
 	}
 	finPkt := transport.NewPacketRaw(finEnv, finPayload, nil)
-	p.rel.track(finPkt, rs.dstWorld, nil, nil)
-	if err := p.sendControl(rs.dstWorld, finPkt); err != nil {
-		rs.req.finish(err)
+	// Under the reliability layer the send completes on the FIN's ack, as a
+	// reliable eager send does: a lost FIN is retransmitted only by this
+	// process's progress, which a caller whose WaitAll had returned would
+	// no longer drive, leaving the receiver waiting forever.
+	p.rel.track(finPkt, rs.dstWorld, rs.req, nil)
+	err := p.sendControl(rs.dstWorld, finPkt)
+	if rs.req.reliable {
+		// The ack or the retry budget finishes the request.
 		return
 	}
-	rs.req.finish(nil)
+	rs.req.finish(err)
 }
 
 // handleRendezvousFIN runs on the receiver: the data has landed (or rides

@@ -54,6 +54,40 @@ type Request struct {
 	err error
 }
 
+// sendRequest co-allocates an eager send's request with its packet, so a
+// send costs one heap object. The packet's Token is &Request; whoever still
+// holds the packet (the fabric, the peer's unexpected queue, the
+// reliability layer) holds an interior pointer that keeps the whole object
+// alive, and the handle the caller drops keeps nothing else alive.
+type sendRequest struct {
+	Request
+	pkt transport.Packet
+}
+
+// newSendRequest returns an eager send request and its packet, built from
+// env and a copy of buf, in one allocation.
+func newSendRequest(p *Proc, env transport.Envelope, buf []byte) (*Request, *transport.Packet) {
+	sr := &sendRequest{Request: Request{proc: p, kind: reqSend}}
+	transport.InitPacket(&sr.pkt, env, buf, &sr.Request)
+	return &sr.Request, &sr.pkt
+}
+
+// recvRequest co-allocates a receive request with the matching engine's
+// posted-receive record, for the same reason as sendRequest.
+type recvRequest struct {
+	Request
+	rcv match.Recv
+}
+
+// newRecvRequest returns a receive request for src/tag into buf whose
+// mrecv is ready to post, in one allocation.
+func newRecvRequest(p *Proc, src int, tag int32, buf []byte) *Request {
+	rr := &recvRequest{Request: Request{proc: p, kind: reqRecv}}
+	rr.rcv = match.Recv{Source: int32(src), Tag: tag, Buf: buf, Token: &rr.Request}
+	rr.mrecv = &rr.rcv
+	return &rr.Request
+}
+
 // Done reports whether the operation has completed. It does not progress
 // the runtime; use Test for the MPI_Test behavior.
 func (r *Request) Done() bool { return r.done.Load() }

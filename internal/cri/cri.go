@@ -52,11 +52,26 @@ func (a Assignment) String() string {
 }
 
 // Instance is one Communication Resource Instance.
+//
+// Its send and poll paths allocate nothing: AcquireSend's release function
+// and Poll's context callback are built once, at construction. Poll parks
+// its clock and handler on the instance for that callback; both are
+// touched only while the caller holds the instance lock, which Poll
+// already requires. With the runtime co-allocating each request with its
+// packet or posted receive, an eager message costs two heap objects: the
+// send and receive requests, which callers own and never hand back.
 type Instance struct {
 	mu    prof.Mutex
 	index int
 	ctx   transport.Context
 	eps   []transport.Endpoint // indexed by remote rank; nil for self
+	// unlock is the in.Unlock method value, built once for AcquireSend.
+	unlock func()
+	// pollCB is the callback Poll hands the context; it forwards to
+	// pollHandler with pollClk, which are touched only under mu.
+	pollCB      func(transport.CQE)
+	pollHandler PollHandler
+	pollClk     *prof.ThreadClock
 	// spcs is this instance's own attributed counter set (a child of the
 	// process totals), so contention localizes to an instance. Nil when
 	// counters are disabled.
@@ -76,7 +91,10 @@ type Instance struct {
 // that want per-instance attribution pass a fresh set per instance and
 // roll the children up with spc.Merge.
 func NewInstance(index int, ctx transport.Context, spcs *spc.Set) *Instance {
-	return &Instance{index: index, ctx: ctx, spcs: spcs}
+	in := &Instance{index: index, ctx: ctx, spcs: spcs}
+	in.unlock = in.Unlock
+	in.pollCB = in.route
+	return in
 }
 
 // SetLockWaitHistogram attaches a histogram recording blocking lock waits.
@@ -161,10 +179,17 @@ func (in *Instance) Unlock() { in.mu.Unlock() }
 type PollHandler func(clk *prof.ThreadClock, in *Instance, e transport.CQE)
 
 // Poll drains up to max completion events under the caller-held instance
-// lock. The caller MUST hold the lock (progress-engine discipline).
+// lock. The caller MUST hold the lock (progress-engine discipline); it
+// also guards the clock and handler parked on the instance for the call.
 func (in *Instance) Poll(clk *prof.ThreadClock, handler PollHandler, max int) int {
-	return in.ctx.Poll(func(e transport.CQE) { handler(clk, in, e) }, max)
+	in.pollClk, in.pollHandler = clk, handler
+	n := in.ctx.Poll(in.pollCB, max)
+	in.pollClk, in.pollHandler = nil, nil
+	return n
 }
+
+// route is the context callback of Poll; it runs under the instance lock.
+func (in *Instance) route(e transport.CQE) { in.pollHandler(in.pollClk, in, e) }
 
 // ThreadState is the per-thread assignment cache — the TLS slot of
 // Algorithm 1. Go has no thread-local storage, so the runtime hands each
@@ -236,6 +261,9 @@ type Pool struct {
 	// pools are at most a few dozen instances.
 	freeHead atomic.Uint64
 	freeNext []atomic.Int32
+	// freeRelease[i] unlocks instance i and pushes it back on the
+	// free-list, built once for AcquireSend.
+	freeRelease []func()
 }
 
 // ErrEmptyPool reports a pool construction with no instances — a
@@ -250,6 +278,13 @@ func NewPool(instances []*Instance, mode Assignment) (*Pool, error) {
 	p := &Pool{instances: instances, mode: mode}
 	if mode == FreeList {
 		p.freeNext = make([]atomic.Int32, len(instances))
+		p.freeRelease = make([]func(), len(instances))
+		for i, in := range instances {
+			p.freeRelease[i] = func() {
+				in.Unlock()
+				p.pushFree(i)
+			}
+		}
 		// Seed the stack with every index, 0 on top, so low indices are
 		// preferred and pool occupancy reads naturally in snapshots.
 		for i := len(instances) - 1; i >= 0; i-- {
@@ -324,26 +359,23 @@ func (p *Pool) popFree() int {
 // when the list is drained it falls back to a contended round-robin pick.
 // Under RoundRobin/Dedicated it is ForThread + LockClocked, unchanged. The
 // release function unlocks and, for free-list acquisitions, returns the
-// instance to the list.
+// instance to the list; it is built once, so AcquireSend allocates nothing.
 func (p *Pool) AcquireSend(ts *ThreadState) (*Instance, func()) {
 	if p.mode == FreeList {
 		if i := p.popFree(); i >= 0 {
 			p.spcs.Inc(spc.FreeListAcquires)
 			in := p.instances[i]
 			in.LockClocked(ts.Clock())
-			return in, func() {
-				in.Unlock()
-				p.pushFree(i)
-			}
+			return in, p.freeRelease[i]
 		}
 		p.spcs.Inc(spc.FreeListEmpty)
 		in := p.instances[p.NextRoundRobin()]
 		in.LockClocked(ts.Clock())
-		return in, in.Unlock
+		return in, in.unlock
 	}
 	in := p.ForThread(ts)
 	in.LockClocked(ts.Clock())
-	return in, in.Unlock
+	return in, in.unlock
 }
 
 // ForThread returns the instance for ts under the pool's strategy. With

@@ -123,6 +123,10 @@ const (
 	// sides of a peer pair dialed concurrently and this side discarded its
 	// own connection, adopting the winner's (lower rank's dial wins).
 	DialRacesLost
+	// WireFrameRejects counts inbound wire frames a reader rejected as
+	// malformed — truncated, undecodable, or addressed to a context that
+	// cannot exist — each closing the connection it arrived on.
+	WireFrameRejects
 
 	numCounters
 )
@@ -164,6 +168,7 @@ var counterNames = [...]string{
 	ConnsOpened:            "conns_opened",
 	ConnsReused:            "conns_reused",
 	DialRacesLost:          "dial_races_lost",
+	WireFrameRejects:       "wire_frame_rejects",
 }
 
 // String returns the counter's snake_case name.

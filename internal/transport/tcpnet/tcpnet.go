@@ -54,6 +54,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -482,25 +483,66 @@ func (n *Network) adopt(peer int, conn net.Conn) {
 	}
 }
 
+// maxContexts bounds the contexts one device creates, and with them the mux
+// IDs a frame can carry: an ID at or above it addresses a context no device
+// can have, so the reader rejects the frame without waiting for it.
+const maxContexts = 1 << 10
+
+// minFrameBuf is a reader's first frame-buffer size, larger than any
+// zero-byte or small eager frame, so the steady state never regrows it.
+const minFrameBuf = 4 << 10
+
+// maxKeptFrameBuf is the largest frame buffer a reader keeps between
+// frames. A bigger frame (rendezvous data over this send/recv-only wire)
+// gets its own buffer, dropped once the frame is decoded.
+const maxKeptFrameBuf = 1 << 20
+
+// errFrameReject marks a frame the peer sent malformed: truncated, not
+// decodable, or addressed to a context that cannot exist.
+var errFrameReject = errors.New("tcpnet: frame rejected")
+
 // readFrames demultiplexes length-prefixed mux frames from conn into the
-// destination contexts' receive rings until the connection closes. Contexts
-// are resolved once per mux ID and cached; resolution waits out the startup
+// destination contexts' receive rings until the connection ends. The bytes
+// come from a peer this process does not control: a rejected frame counts
+// one WireFrameRejects SPC tick and closes the connection, so the peer's
+// writes fail and its link re-establishes.
+func (n *Network) readFrames(conn net.Conn) {
+	if errors.Is(n.demux(conn), errFrameReject) {
+		n.counters().Inc(spc.WireFrameRejects)
+		conn.Close()
+	}
+}
+
+// demux is the frame loop of readFrames. It returns errFrameReject for a
+// malformed frame; any other return is the connection ending. Contexts are
+// resolved once per mux ID and cached; resolution waits out the startup
 // race where a peer's first send lands before this process created its
 // contexts.
-func (n *Network) readFrames(conn net.Conn) {
+func (n *Network) demux(conn net.Conn) error {
 	var ctxs []*Context
 	var lenb [4]byte
+	var buf []byte
 	for {
 		if _, err := io.ReadFull(conn, lenb[:]); err != nil {
-			return
+			if errors.Is(err, io.ErrUnexpectedEOF) {
+				return errFrameReject
+			}
+			return err
 		}
-		frame := make([]byte, binary.LittleEndian.Uint32(lenb[:]))
-		if _, err := io.ReadFull(conn, frame); err != nil {
-			return
+		size := int(binary.LittleEndian.Uint32(lenb[:]))
+		var err error
+		if buf, err = readFrame(conn, buf, size); err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return errFrameReject
+			}
+			return err
 		}
-		mux, pkt, err := transport.DecodeMuxFrame(frame)
-		if err != nil {
-			return
+		mux, pkt, err := transport.DecodeMuxFrame(buf)
+		if err != nil || mux >= maxContexts {
+			return errFrameReject
+		}
+		if cap(buf) > maxKeptFrameBuf {
+			buf = nil
 		}
 		if pkt.TraceID != 0 {
 			// Transport-arrival stamp for the critical-path attribution
@@ -509,16 +551,37 @@ func (n *Network) readFrames(conn net.Conn) {
 			pkt.ArriveNs = time.Now().UnixNano()
 		}
 		idx := int(mux)
-		for idx >= len(ctxs) {
-			ctxs = append(ctxs, nil)
+		if idx >= len(ctxs) {
+			ctxs = append(ctxs, make([]*Context, idx+1-len(ctxs))...)
 		}
 		if ctxs[idx] == nil {
-			if ctxs[idx] = n.waitContext(idx); ctxs[idx] == nil {
-				return
+			if ctxs[idx], err = n.waitContext(idx); err != nil {
+				return err
 			}
 		}
 		ctxs[idx].push(pkt)
 	}
+}
+
+// readFrame reads a size-byte frame body from r into buf's storage and
+// returns it. The buffer grows only as bytes arrive — each read fills at
+// most the spare capacity, and each growth at most doubles it — so a
+// length prefix the peer never backs with bytes claims no more than about
+// twice what actually arrived. DecodeMuxFrame copies the payload out, so
+// the caller may reuse the returned buffer for the next frame.
+func readFrame(r io.Reader, buf []byte, size int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < size {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(size-len(buf), max(cap(buf), minFrameBuf)))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(size, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // linkTo returns the pair's shared physical link, establishing it on first
@@ -625,23 +688,24 @@ func (n *Network) dialPeer(peer int) (net.Conn, error) {
 
 // waitContext resolves a local context index, waiting out the startup race
 // where a peer's first frame arrives before this process has created its
-// contexts.
-func (n *Network) waitContext(idx int) *Context {
+// contexts. A context that does not appear within the dial timeout is a
+// frame reject; a network closed meanwhile is net.ErrClosed.
+func (n *Network) waitContext(idx int) (*Context, error) {
 	deadline := time.Now().Add(n.cfg.DialTimeout)
 	for {
 		n.mu.Lock()
 		dev, closed := n.dev, n.closed
 		n.mu.Unlock()
 		if closed {
-			return nil
+			return nil, net.ErrClosed
 		}
 		if dev != nil {
 			if c := dev.Context(idx); c != nil {
-				return c
+				return c, nil
 			}
 		}
 		if time.Now().After(deadline) {
-			return nil
+			return nil, errFrameReject
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
@@ -714,6 +778,9 @@ func (d *Device) CreateContext(depth int) (transport.Context, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if len(d.contexts) >= maxContexts {
+		return nil, fmt.Errorf("tcpnet: device already has the maximum of %d contexts", maxContexts)
+	}
 	c := &Context{
 		index: len(d.contexts),
 		recvQ: ringbuf.NewMPSC[*transport.Packet](depth),

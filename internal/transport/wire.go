@@ -164,12 +164,27 @@ func NewPacket(env Envelope, payload []byte, token any) *Packet {
 // (e.g. a rendezvous RTS) advertise a length different from their carried
 // payload.
 func NewPacketRaw(env Envelope, payload []byte, token any) *Packet {
-	p := &Packet{Token: token}
+	p := new(Packet)
+	initPacket(p, env, payload, token)
+	return p
+}
+
+// InitPacket is NewPacket into caller-owned storage: it resets *p, marshals
+// env with Len set to the payload length, and copies payload. It lets a
+// caller embed the packet in a larger object (the runtime co-allocates it
+// with its send request), so injecting a message costs no separate packet
+// allocation. p must not be in flight.
+func InitPacket(p *Packet, env Envelope, payload []byte, token any) {
+	env.Len = uint32(len(payload))
+	initPacket(p, env, payload, token)
+}
+
+func initPacket(p *Packet, env Envelope, payload []byte, token any) {
+	*p = Packet{Token: token}
 	env.Marshal(&p.header)
 	if len(payload) > 0 {
 		p.Payload = append([]byte(nil), payload...)
 	}
-	return p
 }
 
 // Envelope decodes and returns the packet's header.
